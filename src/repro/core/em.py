@@ -1,24 +1,31 @@
 """Expectation–maximization estimation over latent block paths.
 
-Each measured duration ``y_i`` came from some unobserved entry-to-exit path.
-Treating the path as the latent variable gives a classic EM scheme:
+Each measured duration came from some unobserved entry-to-exit path.
+Treating the path as the latent variable gives a classic EM scheme.  Timer
+quantization leaves thousands of samples only a few dozen distinct values,
+so EM runs on the histogram — unique ticks ``t_j`` with counts ``c_j``:
 
 * **E-step** — with the current ``theta_t``, enumerate the most probable
-  path family and compute responsibilities
-  ``γ_ip ∝ P(p | theta_t) · N(y_i; d_p, σ_p²)``, where ``d_p`` is the path's
+  path family and compute per-tick responsibilities
+  ``γ_jp ∝ P(p | theta_t) · N(t_j; d_p, σ_p²)``, where ``d_p`` is the path's
   duration mean and ``σ_p²`` combines the timer's quantization/jitter
-  variance with the path's callee-time variance;
-* **M-step** — each branch probability becomes the responsibility-weighted
-  fraction of its then-arm counts:
-  ``theta_k = Σ_ip γ_ip a_pk / Σ_ip γ_ip (a_pk + b_pk)``.
+  variance with the path's callee-time variance.  The kernel is
+  ``(n_ticks, n_paths)``: cost follows ticks × paths, not samples.  The
+  prior is one matrix expression on the family's ``(n_paths, k)`` then/else
+  arm-count matrices, ``log P(p | theta) = A @ log theta + B @ log1p(-theta)``;
+* **M-step** — with count-weighted path totals ``w_p = Σ_j c_j γ_jp``, each
+  branch probability becomes ``theta_k = (w @ A)_k / (w @ (A + B))_k``.
+  The log-likelihood is count-weighted too, so permuting the sample leaves
+  the fit bit-identical, and repeating every sample ``2^m`` times scales
+  arm counts and log-likelihood by exactly ``2^m`` at the same theta.
 
 The family is re-enumerated whenever the iterate moves materially, so paths
 likely under the *estimate* (not under the 0.5 prior) stay covered.
-Observations matching no enumerated path (all kernels ≈ 0) are dropped from
-that iteration rather than poisoning the weights; if *every* observation is
-dropped, the fit returns its current iterate flagged ``converged=False``
-with ``dropped_observations == n_samples`` instead of dividing by zero
-responsibility mass.
+Ticks matching no enumerated path (all kernels ≈ 0, or non-finite) are
+dropped, with their counts, from that iteration rather than poisoning the
+weights; if *every* observation is dropped, the fit returns its current
+iterate flagged ``converged=False`` with ``dropped_observations ==
+n_samples`` instead of dividing by zero responsibility mass.
 
 :meth:`EMEstimator.fit_with_family` additionally accepts — and returns —
 the enumerated :class:`PathFamily`, which is what lets the streaming
@@ -35,7 +42,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import EstimationError
-from repro.core.path_enum import PathFamily, enumerate_paths
+from repro.core.path_enum import PathFamily, enumerate_paths, path_log_probabilities
 from repro.mote.timer import TimestampTimer
 from repro.sim.timing import ProcedureTimingModel
 
@@ -96,14 +103,12 @@ class EMEstimator:
         noise = cpt * cpt / 6.0 + 2.0 * self.timer.jitter_cycles**2
         return max(noise, _MIN_KERNEL_STD**2)
 
-    def _log_kernel(
-        self, observations: np.ndarray, family: PathFamily
-    ) -> np.ndarray:
-        """``log N(y_i; d_p, σ_p²)`` as an (n_obs, n_paths) matrix."""
+    def _log_kernel(self, ticks: np.ndarray, family: PathFamily) -> np.ndarray:
+        """``log N(t_j; d_p, σ_p²)`` as an (n_ticks, n_paths) matrix."""
         d, path_var = family.durations()
         var = self._kernel_variance() + path_var  # (n_paths,)
-        diff = observations[:, None] - d[None, :]
-        # Observations absurdly far from every path overflow diff**2 to inf;
+        diff = ticks[:, None] - d[None, :]
+        # Ticks absurdly far from every path overflow diff**2 to inf;
         # the resulting -inf log-kernel is exactly the "drop this row"
         # signal the E-step wants, so the overflow is intentional.
         with np.errstate(over="ignore"):
@@ -162,10 +167,14 @@ class EMEstimator:
                 f"model has {k}"
             )
 
+        ticks, counts = np.unique(ys, return_counts=True)
         with obs.span(
-            "estimate.em", proc=self.model.procedure.name, samples=int(ys.size)
+            "estimate.em",
+            proc=self.model.procedure.name,
+            samples=int(ys.size),
+            ticks=int(ticks.size),
         ) as span_handle:
-            result, family = self._fit_loop(ys, theta, family)
+            result, family = self._fit_loop(ticks, counts, theta, family)
             span_handle.set(iterations=result.iterations, converged=result.converged)
         obs.inc("estimator.em_fits")
         obs.inc("estimator.em_iterations", result.iterations)
@@ -179,14 +188,19 @@ class EMEstimator:
         return result, family
 
     def _fit_loop(
-        self, ys: np.ndarray, theta: np.ndarray, family: Optional[PathFamily] = None
+        self,
+        ticks: np.ndarray,
+        counts: np.ndarray,
+        theta: np.ndarray,
+        family: Optional[PathFamily] = None,
     ) -> tuple[EMResult, PathFamily]:
-        """The EM iteration proper (split out so the public entry can trace it)."""
+        """The EM iteration proper, on the histogram ``(ticks, counts)``."""
+        n_samples = int(counts.sum())
         if family is None:
             family = enumerate_paths(
                 self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
             )
-        log_kernel = self._log_kernel(ys, family)
+        log_kernel = self._log_kernel(ticks, family)
         a_mat, b_mat = family.arm_count_matrices()
         family_theta = np.asarray(family.reference_theta, dtype=float)
 
@@ -202,11 +216,11 @@ class EMEstimator:
                 family = enumerate_paths(
                     self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
                 )
-                log_kernel = self._log_kernel(ys, family)
+                log_kernel = self._log_kernel(ticks, family)
                 a_mat, b_mat = family.arm_count_matrices()
                 family_theta = theta.copy()
 
-            log_prior = np.array([p.log_probability(theta) for p in family.paths])
+            log_prior = path_log_probabilities(a_mat, b_mat, theta)
             # Renormalize the truncated path family into a proper mixture so
             # that (a) responsibilities are unbiased by enumeration coverage
             # and (b) log-likelihoods are comparable across families with
@@ -214,10 +228,10 @@ class EMEstimator:
             prior_max = log_prior.max()
             log_mass = prior_max + np.log(np.sum(np.exp(log_prior - prior_max)))
             log_prior = log_prior - log_mass
-            log_joint = log_kernel + log_prior[None, :]  # (n_obs, n_paths)
+            log_joint = log_kernel + log_prior[None, :]  # (n_ticks, n_paths)
             row_max = log_joint.max(axis=1)
             usable = np.isfinite(row_max)
-            dropped = int(np.sum(~usable))
+            dropped = int(counts[~usable].sum())
             if not np.any(usable):
                 # The M-step would divide by zero responsibility mass.  Hand
                 # back the current iterate, honestly flagged: not converged,
@@ -230,22 +244,22 @@ class EMEstimator:
                         iterations=iterations,
                         converged=False,
                         log_likelihood=-np.inf,
-                        n_samples=int(ys.size),
+                        n_samples=n_samples,
                         n_paths=len(family),
-                        dropped_observations=int(ys.size),
+                        dropped_observations=n_samples,
                         arm_counts=np.zeros(theta.size),
                     ),
                     family,
                 )
             shifted = np.exp(log_joint[usable] - row_max[usable, None])
-            norm = shifted.sum(axis=1, keepdims=True)
-            resp = shifted / norm
-            log_likelihood = float(np.sum(np.log(norm[:, 0]) + row_max[usable]))
+            norm = shifted.sum(axis=1)
+            used = counts[usable]
+            log_likelihood = float(np.sum(used * (np.log(norm) + row_max[usable])))
 
-            then_counts = resp @ a_mat[:, :]  # (n_usable, k)
-            else_counts = resp @ b_mat[:, :]
-            a_total = then_counts.sum(axis=0)
-            b_total = else_counts.sum(axis=0)
+            # Σ_j c_j γ_jp: each path's count-weighted responsibility.
+            path_weight = (used / norm) @ shifted
+            a_total = path_weight @ a_mat
+            b_total = path_weight @ b_mat
             denom = a_total + b_total
             arm_counts = denom
             new_theta = np.where(denom > 0, a_total / np.maximum(denom, 1e-12), theta)
@@ -263,7 +277,7 @@ class EMEstimator:
                 iterations=iterations,
                 converged=converged,
                 log_likelihood=log_likelihood,
-                n_samples=int(ys.size),
+                n_samples=n_samples,
                 n_paths=len(family),
                 dropped_observations=dropped,
                 arm_counts=arm_counts,

@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.sim.timing import ProcedureTimingModel
 
-__all__ = ["PathInfo", "PathFamily", "enumerate_paths"]
+__all__ = ["PathInfo", "PathFamily", "enumerate_paths", "path_log_probabilities"]
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,6 @@ class PathInfo:
     else_counts: tuple[int, ...]  # b_k per branch parameter
     duration_mean: float
     duration_variance: float
-
-    def log_probability(self, theta: np.ndarray) -> float:
-        """``log P(path | theta)`` (``-inf`` when an arm has probability 0)."""
-        a = np.asarray(self.then_counts, dtype=float)
-        b = np.asarray(self.else_counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = a * np.log(theta) + b * np.log1p(-theta)
-        # 0 * log(0) is a legitimate 0 contribution, not NaN.
-        log_p = np.where((a == 0) & np.isnan(log_p), 0.0, log_p)
-        log_p = np.where((b == 0) & np.isnan(log_p), 0.0, log_p)
-        return float(np.sum(log_p))
-
-    def probability(self, theta: np.ndarray) -> float:
-        """``P(path | theta)``."""
-        return float(np.exp(self.log_probability(theta)))
 
 
 @dataclass(frozen=True)
@@ -70,10 +55,13 @@ class PathFamily:
     def __len__(self) -> int:
         return len(self.paths)
 
+    def log_probabilities(self, theta: Sequence[float]) -> np.ndarray:
+        """``log P(path | theta)`` for every path, in order."""
+        return path_log_probabilities(*self.arm_count_matrices(), theta)
+
     def probabilities(self, theta: Sequence[float]) -> np.ndarray:
         """``P(path | theta)`` for every path, in order."""
-        vec = np.asarray(theta, dtype=float)
-        return np.array([p.probability(vec) for p in self.paths])
+        return np.exp(self.log_probabilities(theta))
 
     def durations(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectors of per-path duration means and variances."""
@@ -86,6 +74,24 @@ class PathFamily:
         a = np.array([p.then_counts for p in self.paths], dtype=float)
         b = np.array([p.else_counts for p in self.paths], dtype=float)
         return a, b
+
+
+def path_log_probabilities(
+    then_counts: np.ndarray, else_counts: np.ndarray, theta: Sequence[float]
+) -> np.ndarray:
+    """``A @ log theta + B @ log1p(-theta)`` on a family's arm-count matrices.
+
+    ``0 * log 0`` is a legitimate 0, not NaN: an arm of probability 0 rules
+    out only the paths that take it.
+    """
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_then, log_else = np.log(theta), np.log1p(-theta)
+        if np.isfinite(log_then).all() and np.isfinite(log_else).all():
+            return then_counts @ log_then + else_counts @ log_else
+        then_terms = np.where(then_counts > 0, then_counts * log_then, 0.0)
+        else_terms = np.where(else_counts > 0, else_counts * log_else, 0.0)
+        return then_terms.sum(axis=1) + else_terms.sum(axis=1)
 
 
 def enumerate_paths(

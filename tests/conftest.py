@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # CI runs the property tests derandomized (fixed example sequence, no
 # wall-clock deadline flakes); select with HYPOTHESIS_PROFILE=ci.  The
@@ -14,9 +15,14 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
+from repro.core import EMEstimator
 from repro.ir import BinaryOp, CFGBuilder, binop, const, sense, validate_cfg
 from repro.lang import compile_source
+from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, TELOSB_LIKE, IIDSensor, SensorSuite, TimestampTimer, UniformSensor
+from repro.placement.layout import Layout
+from repro.sim import ProcedureTimingModel
+from repro.workloads.synthetic import random_estimation_problem
 
 
 @pytest.fixture
@@ -57,6 +63,30 @@ def build_diamond_procedure(then_cost_pad: int = 5, else_cost_pad: int = 20):
     proc = b.build()
     validate_cfg(proc.cfg, "diamond")
     return proc, (then_blk.label, else_blk.label)
+
+
+def timer_readings(durations, rng):
+    """``durations`` as the micaz-like timer measures them, each started at a
+    uniform phase within a tick (no jitter, no drift)."""
+    cpt = MICAZ_LIKE.timer.cycles_per_tick
+    start = rng.uniform(0.0, cpt, size=len(durations))
+    return cpt * (np.floor((start + durations) / cpt) - np.floor(start / cpt))
+
+
+@st.composite
+def quantized_em_problems(draw):
+    """``(estimator, durations, truth)``: EM on a random synthetic CFG, fed
+    timer readings of up to 400 activations drawn at the true theta."""
+    seed = draw(st.integers(0, 10_000))
+    proc, truth = random_estimation_problem(
+        rng=seed,
+        n_branches=draw(st.integers(1, 4)),
+        loop_fraction=draw(st.floats(0.0, 1.0)),
+    )
+    model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
+    rng = np.random.default_rng(seed)
+    exact = sample_rewards(model.chain(truth), draw(st.integers(1, 400)), rng=rng)
+    return EMEstimator(model, timer=MICAZ_LIKE.timer), timer_readings(exact, rng), truth
 
 
 @pytest.fixture

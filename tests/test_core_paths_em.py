@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EMEstimator, enumerate_paths
 from repro.errors import EstimationError
 from repro.lang import compile_source
 from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, TimestampTimer
+from repro.obs import Tracer, tracing
 from repro.placement.layout import Layout
 from repro.sim import ProcedureTimingModel
-from tests.conftest import build_diamond_procedure
+from tests.conftest import build_diamond_procedure, quantized_em_problems
 
 
 def make_model(proc):
@@ -172,3 +175,40 @@ class TestEmptyResponsibilityMass:
         result = est.fit(np.concatenate([good, [1e200] * 3]))
         assert result.dropped_observations == 3
         assert np.all(np.isfinite(result.theta))
+
+
+class TestHistogramInvariance:
+    """EM sees only the tick histogram, so these hold bit for bit."""
+
+    @given(quantized_em_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_permuting_samples_changes_nothing(self, case):
+        est, ys, _ = case
+        base = est.fit(ys)
+        shuffled = est.fit(np.random.default_rng(ys.size).permutation(ys))
+        assert np.array_equal(shuffled.theta, base.theta)
+        assert shuffled.log_likelihood == base.log_likelihood
+        assert np.array_equal(shuffled.arm_counts, base.arm_counts)
+
+    @given(quantized_em_problems(), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_repeating_samples_scales_exactly(self, case, power):
+        est, ys, _ = case
+        base = est.fit(ys)
+        reps = 2**power
+        repeated = est.fit(np.repeat(ys, reps))
+        assert np.array_equal(repeated.theta, base.theta)
+        assert repeated.log_likelihood == reps * base.log_likelihood
+        assert np.array_equal(repeated.arm_counts, reps * base.arm_counts)
+        assert repeated.iterations == base.iterations
+        assert repeated.n_samples == reps * base.n_samples
+
+
+class TestEMSpanAttributes:
+    def test_em_span_records_samples_and_ticks(self, diamond_model):
+        tracer = Tracer()
+        with tracing(tracer):
+            EMEstimator(diamond_model).fit([10.0, 12.0, 10.0, 80.0, 10.0])
+        (span,) = [s for s in tracer.spans if s.name == "estimate.em"]
+        assert span.attrs["samples"] == 5
+        assert span.attrs["ticks"] == 3
