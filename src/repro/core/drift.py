@@ -1,20 +1,32 @@
-"""Epoch-sliced estimation: tracking branch-probability drift over time.
+"""Drift: noticing that the branch probabilities behind a profile moved.
 
 Sensor inputs drift (diurnal cycles, regime changes), so a single profile
 ages.  Because the tomography collector is cheap, a deployment can keep it
-on permanently and re-estimate per *epoch* — this module does exactly that:
-slice the invocation stream into consecutive windows, estimate each window
-independently, and report the trajectory plus simple change diagnostics.
+on permanently and watch for that — this is the "continuous profiling"
+extension the overhead numbers make plausible: edge instrumentation at
+40–100% runtime overhead cannot stay on in production; a
+~25-cycle-per-invocation collector can.  Two mechanisms, for two inputs:
 
-This is the "continuous profiling" extension the overhead numbers make
-plausible: edge instrumentation at 40–100% runtime overhead cannot stay on
-in production; a ~25-cycle-per-invocation collector can.
+* **Epoch refits** (:func:`estimate_epochs`, :func:`detect_drift`) slice a
+  recorded invocation stream into consecutive windows, estimate each window
+  independently, and flag large epoch-to-epoch moves (experiment F7).
+
+* **Streaming detectors** run over a live estimator's per-shard
+  *innovation signal*: before each re-fit, the shard's observed mean
+  duration per procedure is standardized against the moments the
+  *previous* iterate predicted (:func:`residual_signals`).  Under a
+  stationary workload that signal is ~N(0, 1)-ish noise; a regime shift
+  moves procedure durations and :class:`PageHinkley` / :class:`Cusum` trip.
+  :class:`DriftDetectors` keeps one self-calibrating :class:`ProcDrift`
+  pair per procedure.  The closed PGO loop (:mod:`repro.pgo`) steers on
+  its alarms; :mod:`repro.obs.health` reports them as alerts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +36,16 @@ from repro.mote.timer import TimestampTimer
 from repro.sim.timing import ProcedureTimingModel
 from repro.util.rng import RngSource, as_rng
 
-__all__ = ["DriftTrack", "estimate_epochs", "detect_drift"]
+__all__ = [
+    "DriftTrack",
+    "estimate_epochs",
+    "detect_drift",
+    "PageHinkley",
+    "Cusum",
+    "residual_signals",
+    "ProcDrift",
+    "DriftDetectors",
+]
 
 
 @dataclass(frozen=True)
@@ -128,3 +149,280 @@ def detect_drift(
             if abs(delta) > threshold:
                 events.append((k, epoch, float(delta)))
     return events
+
+
+# --------------------------------------------------------------------------
+# Streaming drift detectors
+# --------------------------------------------------------------------------
+
+
+class _SlotsEq:
+    """Value equality over ``__slots__``: detector state compares as data."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+
+class PageHinkley(_SlotsEq):
+    """Two-sided Page–Hinkley test over a scalar stream.
+
+    Classic two-accumulator form: the *up* test tracks the cumulative
+    deviation from the running mean minus the allowance ``delta`` against
+    its running minimum, the *down* test the deviation plus ``delta``
+    against its running maximum.  Under stationarity each accumulator
+    drifts *away* from its own extremum's alarm side at rate ``delta``, so
+    the statistic stays bounded on arbitrarily long quiet streams; a
+    sustained shift in either direction walks one gap past ``threshold``.
+    After an alarm the statistic resets so the next episode is detected
+    afresh.
+    """
+
+    __slots__ = ("delta", "threshold", "_n", "_mean", "_up", "_up_min", "_down", "_down_max")
+
+    def __init__(self, delta: float = 0.1, threshold: float = 28.0) -> None:
+        if threshold <= 0:
+            raise EstimationError(f"threshold must be positive, got {threshold}")
+        if delta < 0:
+            raise EstimationError(f"delta must be >= 0, got {delta}")
+        self.delta = delta
+        self.threshold = threshold
+        self.reset()
+
+    def reset(self) -> None:
+        self._n = 0
+        self._mean = 0.0
+        self._up = 0.0
+        self._up_min = 0.0
+        self._down = 0.0
+        self._down_max = 0.0
+
+    @property
+    def statistic(self) -> float:
+        """The current two-sided PH statistic (max of up/down tests)."""
+        return max(self._up - self._up_min, self._down_max - self._down)
+
+    @property
+    def score(self) -> float:
+        """``statistic / threshold`` — >= 1.0 means the alarm level."""
+        return self.statistic / self.threshold
+
+    def update(self, x: float) -> bool:
+        """Feed one value; True means *alarm* (the detector has reset)."""
+        self._n += 1
+        self._mean += (x - self._mean) / self._n
+        deviation = x - self._mean
+        self._up += deviation - self.delta
+        self._up_min = min(self._up_min, self._up)
+        self._down += deviation + self.delta
+        self._down_max = max(self._down_max, self._down)
+        if self.statistic > self.threshold:
+            self.reset()
+            return True
+        return False
+
+
+class Cusum(_SlotsEq):
+    """Two-sided CUSUM over a (roughly standardized) scalar stream.
+
+    Classic tabular form: ``S+ = max(0, S+ + x - k)`` catches upward shifts,
+    ``S- = max(0, S- - x - k)`` downward ones; either exceeding ``h`` is an
+    alarm (and resets both accumulators).  With ~N(0, 1) inputs, ``k`` is
+    half the shift (in sigmas) worth detecting and ``h`` sets the
+    false-alarm/delay trade-off.
+    """
+
+    __slots__ = ("k", "h", "_pos", "_neg")
+
+    def __init__(self, k: float = 0.5, h: float = 14.0) -> None:
+        if h <= 0:
+            raise EstimationError(f"h must be positive, got {h}")
+        if k < 0:
+            raise EstimationError(f"k must be >= 0, got {k}")
+        self.k = k
+        self.h = h
+        self.reset()
+
+    def reset(self) -> None:
+        self._pos = 0.0
+        self._neg = 0.0
+
+    @property
+    def statistic(self) -> float:
+        return max(self._pos, self._neg)
+
+    @property
+    def score(self) -> float:
+        return self.statistic / self.h
+
+    def update(self, x: float) -> bool:
+        """Feed one value; True means *alarm* (the detector has reset)."""
+        self._pos = max(0.0, self._pos + x - self.k)
+        self._neg = max(0.0, self._neg - x - self.k)
+        if self.statistic > self.h:
+            self.reset()
+            return True
+        return False
+
+
+def residual_signals(
+    moments: Mapping[str, object],
+    samples: Mapping[str, object],
+    min_samples: int = 2,
+) -> dict[str, float]:
+    """Per-procedure standardized innovations for one shard.
+
+    ``moments`` maps procedure name to anything with ``mean`` and
+    ``variance`` attributes (the previous iterate's predicted
+    :class:`~repro.markov.moments.RewardMoments`); ``samples`` maps name to
+    the shard's raw duration array.  The signal is the z-score of the shard
+    mean under the prediction: ``(x̄ - mu) / (sigma / sqrt(n))``.  Procedures
+    without a prediction, or with fewer than ``min_samples`` observations
+    (one duration says nothing about a mean shift), are skipped.
+    """
+    signals: dict[str, float] = {}
+    for name in sorted(samples):
+        predicted = moments.get(name)
+        if predicted is None:
+            continue
+        xs = samples[name]
+        n = len(xs)
+        if n < min_samples:
+            continue
+        sigma = math.sqrt(max(float(predicted.variance), 1e-12))
+        mean = sum(float(x) for x in xs) / n
+        signals[name] = (mean - float(predicted.mean)) / (sigma / math.sqrt(n))
+    return signals
+
+
+class ProcDrift(_SlotsEq):
+    """One procedure's self-calibrating detector pair.
+
+    The first ``warmup_shards`` signals fit a frozen mean/std baseline
+    (Welford); subsequent signals are standardized against it and fed to
+    both detectors.  An alarm resets the detectors *and* the baseline — the
+    stream re-calibrates at the new regime, so a second drift episode is
+    detected relative to the first's level, not the original one.
+    """
+
+    __slots__ = (
+        "warmup_shards", "_count", "_mean", "_m2", "_mu0", "_sd0", "ph", "cusum",
+        "alarms",
+    )
+
+    def __init__(
+        self,
+        warmup_shards: int = 8,
+        ph_delta: float = 0.1,
+        ph_threshold: float = 28.0,
+        cusum_k: float = 0.5,
+        cusum_h: float = 14.0,
+    ) -> None:
+        if warmup_shards < 1:
+            raise EstimationError(f"warmup_shards must be >= 1, got {warmup_shards}")
+        self.warmup_shards = warmup_shards
+        self.ph = PageHinkley(ph_delta, ph_threshold)
+        self.cusum = Cusum(cusum_k, cusum_h)
+        self.alarms = 0
+        self._restart()
+
+    def _restart(self) -> None:
+        self._count = 0
+        self._mean = 0.0
+        self._m2 = 0.0
+        self._mu0: Optional[float] = None
+        self._sd0 = 1.0
+        self.ph.reset()
+        self.cusum.reset()
+
+    @property
+    def score(self) -> float:
+        return max(self.ph.score, self.cusum.score)
+
+    @property
+    def warmed_up(self) -> bool:
+        return self._mu0 is not None
+
+    def update(self, x: float) -> Optional[str]:
+        """Feed one raw signal; returns the alarming detector name, if any."""
+        if self._mu0 is None:
+            self._count += 1
+            delta = x - self._mean
+            self._mean += delta / self._count
+            self._m2 += delta * (x - self._mean)
+            if self._count >= self.warmup_shards:
+                self._mu0 = self._mean
+                variance = self._m2 / max(self._count - 1, 1)
+                # The raw signal is already ~unit-scale by construction; the
+                # baseline only removes bias and *extra* dispersion.  A short
+                # warmup under-estimates spread, so never let it tighten the
+                # scale below the signal's nominal N(0, 1): floor the std at 1.
+                self._sd0 = max(math.sqrt(max(variance, 0.0)), 1.0)
+            return None
+        z = (x - self._mu0) / self._sd0
+        fired = []
+        if self.ph.update(z):
+            fired.append("page-hinkley")
+        if self.cusum.update(z):
+            fired.append("cusum")
+        if fired:
+            self.alarms += 1
+            self._restart()
+            return "+".join(fired)
+        return None
+
+
+class DriftDetectors(_SlotsEq):
+    """The per-procedure detector set of one estimator stream.
+
+    Each procedure gets its own :class:`ProcDrift` on its first signal, all
+    built from the same parameters.  The set is plain data: a deep copy is
+    a checkpoint, and two sets fed the same signals compare equal.
+    """
+
+    __slots__ = ("params", "procs")
+
+    def __init__(
+        self,
+        warmup_shards: int = 8,
+        ph_delta: float = 0.1,
+        ph_threshold: float = 28.0,
+        cusum_k: float = 0.5,
+        cusum_h: float = 14.0,
+    ) -> None:
+        self.params = (warmup_shards, ph_delta, ph_threshold, cusum_k, cusum_h)
+        ProcDrift(*self.params)  # reject bad parameters now, not at the first signal
+        self.procs: dict[str, ProcDrift] = {}
+
+    def update(self, signals: Mapping[str, float]) -> list[tuple[str, str]]:
+        """Feed one shard's signals; returns ``(procedure, detector)`` alarms.
+
+        Procedures are fed in name order; ``detector`` names what fired
+        (``page-hinkley``, ``cusum``, or both joined by ``+``).
+        """
+        alarms: list[tuple[str, str]] = []
+        for proc in sorted(signals):
+            state = self.procs.get(proc)
+            if state is None:
+                state = self.procs[proc] = ProcDrift(*self.params)
+            detector = state.update(float(signals[proc]))
+            if detector is not None:
+                alarms.append((proc, detector))
+        return alarms
+
+    @property
+    def score(self) -> float:
+        """Max detector statistic over procedures, scaled so 1.0 = alarm."""
+        return max((state.score for state in self.procs.values()), default=0.0)
+
+    @property
+    def alarms(self) -> int:
+        """Alarms raised so far, over all procedures."""
+        return sum(state.alarms for state in self.procs.values())
+
+    @property
+    def alarmed_procedures(self) -> tuple[str, ...]:
+        return tuple(sorted(p for p, s in self.procs.items() if s.alarms))

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import EstimationError
+from repro.core.drift import residual_signals
 from repro.core.em import EMEstimator
 from repro.core.path_enum import PathFamily
 from repro.ir.program import Program
@@ -202,8 +203,8 @@ class OnlineEstimator:
         moments) feed its drift detectors, and the post-refit point feeds
         its coverage audit and staleness gauges.  Monitors are not part of
         :meth:`checkpoint` — re-attach after :meth:`resume` to keep detector
-        state across a handoff (the first post-resume shard has no stored
-        moments, so it contributes no drift signal).
+        state across a handoff (:meth:`resume` rebuilds the predicted
+        moments, so the first post-resume shard yields its drift signal).
         """
         self._health = monitor
         return monitor
@@ -235,8 +236,6 @@ class OnlineEstimator:
         if self._health is not None and self._moments:
             # Innovations against the *previous* iterate's predictions, before
             # this shard touches the fit — the drift detectors' input.
-            from repro.obs.health import residual_signals
-
             signals = residual_signals(
                 self._moments, arrays, self._health.config.min_signal_samples
             )
@@ -349,8 +348,8 @@ class OnlineEstimator:
             if result.arm_counts is not None:
                 arm_counts[name] = np.asarray(result.arm_counts, dtype=float).copy()
             callee_moments[name] = model.moments(result.theta)
-        # Post-refit predictions and effective counts, kept for the health
-        # monitor: the next shard's innovations are judged against these.
+        # Post-refit predictions and effective counts: the next shard's
+        # innovations are judged against these.
         self._moments = callee_moments
         self._arm_counts = arm_counts
         return self._trajectory_point(shard_index, em_iterations, reused, rebuilt)
@@ -439,6 +438,15 @@ class OnlineEstimator:
         return tuple(self._trajectory)
 
     @property
+    def predicted_moments(self) -> dict[str, RewardMoments]:
+        """Per-procedure moments the current iterate predicts (a copy).
+
+        Empty before the first shard.  Drift detection standardizes the next
+        shard against these (:func:`~repro.core.drift.residual_signals`).
+        """
+        return dict(self._moments)
+
+    @property
     def total_samples(self) -> int:
         return sum(xs.size for xs in self._samples.values())
 
@@ -476,9 +484,9 @@ class OnlineEstimator:
         """Rebuild an estimator from a checkpoint without replaying shards.
 
         Subsequent :meth:`absorb` calls continue exactly where the
-        checkpointed run left off — same thetas, same cached families —
-        so resumed and uninterrupted runs produce bit-identical
-        trajectories.
+        checkpointed run left off — same thetas, same cached families, same
+        predicted moments — so resumed and uninterrupted runs produce
+        bit-identical trajectories and drift signals.
         """
         if checkpoint.program_name != program.name:
             raise EstimationError(
@@ -505,6 +513,11 @@ class OnlineEstimator:
             name: hw.copy() for name, hw in checkpoint.half_widths.items()
         }
         est._trajectory = list(checkpoint.trajectory)
+        if est._trajectory:
+            # The checkpoint does not carry predictions; one bottom-up sweep
+            # over the restored thetas rebuilds exactly what the last refit
+            # kept, so the next shard's drift signal matches an unbroken run.
+            est._moments = est._timing.all_moments(est._theta)
         obs.inc("online.resumes")
         return est
 

@@ -5,12 +5,10 @@ whether the estimates are still *good* — the prerequisite telemetry for any
 closed-loop re-placement trigger (profiles go stale; somebody has to notice).
 Three instruments, all streaming, all deterministic given the shard sequence:
 
-* **Drift detectors.**  :class:`PageHinkley` and :class:`Cusum` run over a
-  per-shard *innovation signal*: before each re-fit, the shard's observed
-  mean duration per procedure is standardized against the moments the
-  *previous* iterate predicted (:func:`residual_signals`).  Under a
-  stationary workload that signal is ~N(0, 1)-ish noise; a regime shift in
-  the branch probabilities moves procedure durations and the detectors trip.
+* **Drift alerts.**  The streaming detectors of :mod:`repro.core.drift`
+  (Page–Hinkley and CUSUM over per-shard innovation signals, one
+  self-calibrating pair per procedure) run with this monitor's
+  :class:`HealthConfig` knobs; every alarm becomes a ``drift`` alert.
   Each procedure self-calibrates on its first ``warmup_shards`` signals
   (frozen mean/std baseline), so model-vs-simulator scale mismatch does not
   fire false alarms; after an alarm the baseline re-learns at the new regime
@@ -40,7 +38,6 @@ registry, and the monitor's own buffer (exportable as a JSONL alert log via
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,12 +51,9 @@ __all__ = [
     "ALERT_SCHEMA",
     "REPORT_SCHEMA",
     "HealthConfig",
-    "PageHinkley",
-    "Cusum",
     "CoverageAudit",
     "AlertEvent",
     "EstimatorHealthMonitor",
-    "residual_signals",
     "write_alert_log",
     "read_alert_log",
     "build_health_report",
@@ -152,207 +146,6 @@ class HealthConfig:
                 f"max_shards_since_rebuild must be >= 1 or None, "
                 f"got {self.max_shards_since_rebuild}"
             )
-
-
-# --------------------------------------------------------------------------
-# Streaming drift detectors
-# --------------------------------------------------------------------------
-
-
-class PageHinkley:
-    """Two-sided Page–Hinkley test over a scalar stream.
-
-    Classic two-accumulator form: the *up* test tracks the cumulative
-    deviation from the running mean minus the allowance ``delta`` against
-    its running minimum, the *down* test the deviation plus ``delta``
-    against its running maximum.  Under stationarity each accumulator
-    drifts *away* from its own extremum's alarm side at rate ``delta``, so
-    the statistic stays bounded on arbitrarily long quiet streams; a
-    sustained shift in either direction walks one gap past ``threshold``.
-    After an alarm the statistic resets so the next episode is detected
-    afresh.
-    """
-
-    __slots__ = ("delta", "threshold", "_n", "_mean", "_up", "_up_min", "_down", "_down_max")
-
-    def __init__(self, delta: float = 0.1, threshold: float = 28.0) -> None:
-        if threshold <= 0:
-            raise ObsError(f"threshold must be positive, got {threshold}")
-        if delta < 0:
-            raise ObsError(f"delta must be >= 0, got {delta}")
-        self.delta = delta
-        self.threshold = threshold
-        self.reset()
-
-    def reset(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._up = 0.0
-        self._up_min = 0.0
-        self._down = 0.0
-        self._down_max = 0.0
-
-    @property
-    def statistic(self) -> float:
-        """The current two-sided PH statistic (max of up/down tests)."""
-        return max(self._up - self._up_min, self._down_max - self._down)
-
-    @property
-    def score(self) -> float:
-        """``statistic / threshold`` — >= 1.0 means the alarm level."""
-        return self.statistic / self.threshold
-
-    def update(self, x: float) -> bool:
-        """Feed one value; True means *alarm* (the detector has reset)."""
-        self._n += 1
-        self._mean += (x - self._mean) / self._n
-        deviation = x - self._mean
-        self._up += deviation - self.delta
-        self._up_min = min(self._up_min, self._up)
-        self._down += deviation + self.delta
-        self._down_max = max(self._down_max, self._down)
-        if self.statistic > self.threshold:
-            self.reset()
-            return True
-        return False
-
-
-class Cusum:
-    """Two-sided CUSUM over a (roughly standardized) scalar stream.
-
-    Classic tabular form: ``S+ = max(0, S+ + x - k)`` catches upward shifts,
-    ``S- = max(0, S- - x - k)`` downward ones; either exceeding ``h`` is an
-    alarm (and resets both accumulators).  With ~N(0, 1) inputs, ``k`` is
-    half the shift (in sigmas) worth detecting and ``h`` sets the
-    false-alarm/delay trade-off.
-    """
-
-    __slots__ = ("k", "h", "_pos", "_neg")
-
-    def __init__(self, k: float = 0.5, h: float = 14.0) -> None:
-        if h <= 0:
-            raise ObsError(f"h must be positive, got {h}")
-        if k < 0:
-            raise ObsError(f"k must be >= 0, got {k}")
-        self.k = k
-        self.h = h
-        self.reset()
-
-    def reset(self) -> None:
-        self._pos = 0.0
-        self._neg = 0.0
-
-    @property
-    def statistic(self) -> float:
-        return max(self._pos, self._neg)
-
-    @property
-    def score(self) -> float:
-        return self.statistic / self.h
-
-    def update(self, x: float) -> bool:
-        """Feed one value; True means *alarm* (the detector has reset)."""
-        self._pos = max(0.0, self._pos + x - self.k)
-        self._neg = max(0.0, self._neg - x - self.k)
-        if self.statistic > self.h:
-            self.reset()
-            return True
-        return False
-
-
-def residual_signals(
-    moments: Mapping[str, object],
-    samples: Mapping[str, object],
-    min_samples: int = 2,
-) -> dict[str, float]:
-    """Per-procedure standardized innovations for one shard.
-
-    ``moments`` maps procedure name to anything with ``mean`` and
-    ``variance`` attributes (the previous iterate's predicted
-    :class:`~repro.markov.moments.RewardMoments`); ``samples`` maps name to
-    the shard's raw duration array.  The signal is the z-score of the shard
-    mean under the prediction: ``(x̄ - mu) / (sigma / sqrt(n))``.  Procedures
-    without a prediction, or with fewer than ``min_samples`` observations
-    (one duration says nothing about a mean shift), are skipped.
-    """
-    signals: dict[str, float] = {}
-    for name in sorted(samples):
-        predicted = moments.get(name)
-        if predicted is None:
-            continue
-        xs = samples[name]
-        n = len(xs)
-        if n < min_samples:
-            continue
-        sigma = math.sqrt(max(float(predicted.variance), 1e-12))
-        mean = sum(float(x) for x in xs) / n
-        signals[name] = (mean - float(predicted.mean)) / (sigma / math.sqrt(n))
-    return signals
-
-
-class _ProcDrift:
-    """One procedure's self-calibrating detector pair.
-
-    The first ``warmup_shards`` signals fit a frozen mean/std baseline
-    (Welford); subsequent signals are standardized against it and fed to
-    both detectors.  An alarm resets the detectors *and* the baseline — the
-    stream re-calibrates at the new regime, so a second drift episode is
-    detected relative to the first's level, not the original one.
-    """
-
-    __slots__ = ("config", "_count", "_mean", "_m2", "_mu0", "_sd0", "ph", "cusum", "alarms")
-
-    def __init__(self, config: HealthConfig) -> None:
-        self.config = config
-        self.ph = PageHinkley(config.ph_delta, config.ph_threshold)
-        self.cusum = Cusum(config.cusum_k, config.cusum_h)
-        self.alarms = 0
-        self._restart()
-
-    def _restart(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._mu0: Optional[float] = None
-        self._sd0 = 1.0
-        self.ph.reset()
-        self.cusum.reset()
-
-    @property
-    def score(self) -> float:
-        return max(self.ph.score, self.cusum.score)
-
-    @property
-    def warmed_up(self) -> bool:
-        return self._mu0 is not None
-
-    def update(self, x: float) -> Optional[str]:
-        """Feed one raw signal; returns the alarming detector name, if any."""
-        if self._mu0 is None:
-            self._count += 1
-            delta = x - self._mean
-            self._mean += delta / self._count
-            self._m2 += delta * (x - self._mean)
-            if self._count >= self.config.warmup_shards:
-                self._mu0 = self._mean
-                variance = self._m2 / max(self._count - 1, 1)
-                # The raw signal is already ~unit-scale by construction; the
-                # baseline only removes bias and *extra* dispersion.  A short
-                # warmup under-estimates spread, so never let it tighten the
-                # scale below the signal's nominal N(0, 1): floor the std at 1.
-                self._sd0 = max(math.sqrt(max(variance, 0.0)), 1.0)
-            return None
-        z = (x - self._mu0) / self._sd0
-        fired = []
-        if self.ph.update(z):
-            fired.append("page-hinkley")
-        if self.cusum.update(z):
-            fired.append("cusum")
-        if fired:
-            self.alarms += 1
-            self._restart()
-            return "+".join(fired)
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -570,8 +363,18 @@ class EstimatorHealthMonitor:
         )
         self._clock = clock
         self._sink = sink
+        # Imported here, not at module level: low layers (repro.mote,
+        # repro.sim) load repro.obs before repro.core can finish importing.
+        from repro.core.drift import DriftDetectors
+
         self.audit = CoverageAudit(self.config.min_effective_count)
-        self._drift: dict[str, _ProcDrift] = {}
+        self._drift = DriftDetectors(
+            self.config.warmup_shards,
+            self.config.ph_delta,
+            self.config.ph_threshold,
+            self.config.cusum_k,
+            self.config.cusum_h,
+        )
         self._alerts: list[AlertEvent] = []
         self._shards = 0
         self._samples = 0
@@ -592,8 +395,9 @@ class EstimatorHealthMonitor:
 
         ``point`` is the :class:`~repro.core.online.ShardEstimate` just
         appended; ``signals`` the pre-refit innovations from
-        :func:`residual_signals`; ``arm_counts`` the EM effective arm counts
-        behind the point's half-widths (gates the coverage audit).
+        :func:`~repro.core.drift.residual_signals`; ``arm_counts`` the EM
+        effective arm counts behind the point's half-widths (gates the
+        coverage audit).
         """
         fired: list[AlertEvent] = []
         self._shards += 1
@@ -604,23 +408,18 @@ class EstimatorHealthMonitor:
             self._shards_since_rebuild = 0
         else:
             self._shards_since_rebuild += 1
-        for proc in sorted(signals):
-            state = self._drift.get(proc)
-            if state is None:
-                state = self._drift[proc] = _ProcDrift(self.config)
-            detector = state.update(float(signals[proc]))
-            if detector is not None:
-                fired.append(
-                    self._emit(
-                        kind="drift",
-                        severity="critical",
-                        value=float(signals[proc]),
-                        threshold=1.0,
-                        shard=point.shard_index,
-                        procedure=proc,
-                        detail=f"{detector} alarm #{state.alarms}",
-                    )
+        for proc, detector in self._drift.update(signals):
+            fired.append(
+                self._emit(
+                    kind="drift",
+                    severity="critical",
+                    value=float(signals[proc]),
+                    threshold=1.0,
+                    shard=point.shard_index,
+                    procedure=proc,
+                    detail=f"{detector} alarm #{self._drift.procs[proc].alarms}",
                 )
+            )
         if self.truth is not None:
             for proc, truth in sorted(self.truth.items()):
                 theta = point.thetas.get(proc)
@@ -754,17 +553,15 @@ class EstimatorHealthMonitor:
     @property
     def drift_score(self) -> float:
         """Max detector statistic over procedures, scaled so 1.0 = alarm."""
-        if not self._drift:
-            return 0.0
-        return max(state.score for state in self._drift.values())
+        return self._drift.score
 
     @property
     def drift_alarms(self) -> int:
-        return sum(state.alarms for state in self._drift.values())
+        return self._drift.alarms
 
     @property
     def alarmed_procedures(self) -> tuple[str, ...]:
-        return tuple(sorted(p for p, s in self._drift.items() if s.alarms))
+        return self._drift.alarmed_procedures
 
     @property
     def shards_since_rebuild(self) -> int:

@@ -73,6 +73,16 @@ def _need(mapping: dict, key: str, types, where: str):
     return value
 
 
+def _is_non_negative(value) -> bool:
+    """A non-negative int or float.  bool (an int subclass) and NaN are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+
+
+def _need_non_negative(value, subject: str) -> None:
+    if not _is_non_negative(value):
+        raise ArtifactError(f"{subject} must be a non-negative number, got {value!r}")
+
+
 def _check_span_record(record: dict, where: str) -> None:
     _need(record, "name", str, where)
     start = _need(record, "start", (int, float), where)
@@ -194,7 +204,7 @@ def validate_metrics_file(path: Union[str, Path]) -> dict:
     _need(metrics, "gauges", dict, f"{path.name}: metrics")
     histograms = _need(metrics, "histograms", dict, f"{path.name}: metrics")
     for name, value in counters.items():
-        if not isinstance(value, (int, float)) or value < 0:
+        if not _is_non_negative(value):
             raise ArtifactError(
                 f"{path.name}: counter {name!r} must be a non-negative number"
             )
@@ -251,32 +261,17 @@ def validate_counter_snapshot(snap, where: str) -> dict:
         raise ArtifactError(
             f"{where}: schema {schema!r}, expected {SNAPSHOT_SCHEMA!r}"
         )
-    def _non_negative_number(value) -> bool:
-        # Most counters are ints; energy (µJ) and the timer's quantization
-        # error accumulate as floats.  bool is an int subclass — reject it.
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value >= 0
-        )
-
+    # Most counters are ints; energy (µJ) and the timer's quantization
+    # error accumulate as floats.
     totals = _need(snap, "totals", dict, where)
     for name, value in totals.items():
-        if not _non_negative_number(value):
-            raise ArtifactError(
-                f"{where}: counter {name!r} must be a non-negative number, "
-                f"got {value!r}"
-            )
+        _need_non_negative(value, f"{where}: counter {name!r}")
     per_proc = _need(snap, "per_proc", dict, where)
     for proc, row in per_proc.items():
         if not isinstance(row, dict):
             raise ArtifactError(f"{where}: per_proc[{proc!r}] must be an object")
         for field, value in row.items():
-            if not _non_negative_number(value):
-                raise ArtifactError(
-                    f"{where}: per_proc[{proc!r}].{field} must be a "
-                    f"non-negative number, got {value!r}"
-                )
+            _need_non_negative(value, f"{where}: per_proc[{proc!r}].{field}")
     return {"counters": len(totals), "procs": len(per_proc)}
 
 
@@ -298,17 +293,11 @@ def validate_serve_stats(embed, where: str) -> dict:
     if isinstance(workers, bool) or workers < 1:
         raise ArtifactError(f"{where}: workers must be a positive int, got {workers!r}")
     uptime = _need(embed, "uptime_s", (int, float), where)
-    if isinstance(uptime, bool) or uptime < 0:
-        raise ArtifactError(
-            f"{where}: uptime_s must be a non-negative number, got {uptime!r}"
-        )
+    _need_non_negative(uptime, f"{where}: uptime_s")
 
     def _tallies(mapping: dict, sub_where: str) -> None:
         for name, value in mapping.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ArtifactError(
-                    f"{sub_where}: {name!r} must be a non-negative number, got {value!r}"
-                )
+            _need_non_negative(value, f"{sub_where}: {name!r}")
 
     totals = _need(embed, "totals", dict, where)
     _tallies(totals, f"{where}: totals")
@@ -347,10 +336,7 @@ def validate_health_summary(summary, where: str) -> dict:
         value = _need(summary, key, object, where)
         if value is None and allow_none:
             return value
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            raise ArtifactError(
-                f"{where}: {key!r} must be a non-negative number, got {value!r}"
-            )
+        _need_non_negative(value, f"{where}: {key!r}")
         return value
 
     _gauge("drift_score")
@@ -379,14 +365,7 @@ def validate_health_summary(summary, where: str) -> dict:
                         f"{where}: slo state must be 'ok' or 'breached', got {value!r}"
                     )
                 continue
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                raise ArtifactError(
-                    f"{where}: slo.{key} must be a non-negative number, got {value!r}"
-                )
+            _need_non_negative(value, f"{where}: slo.{key}")
     return {"alerts": summary["alerts"], "drift_alarms": summary["drift_alarms"]}
 
 
@@ -516,11 +495,7 @@ def validate_bench_file(path: Union[str, Path]) -> dict:
             if not isinstance(stats, dict):
                 raise ArtifactError(f"{stat_where}: stats must be an object")
             for key, value in stats.items():
-                if not isinstance(value, (int, float)) or value < 0:
-                    raise ArtifactError(
-                        f"{stat_where}: stat {key!r} must be a non-negative "
-                        f"number, got {value!r}"
-                    )
+                _need_non_negative(value, f"{stat_where}: stat {key!r}")
         counters = _need(record, "counters", dict, where)
         for name, snap in counters.items():
             validate_counter_snapshot(snap, f"{where}: counters[{name!r}]")

@@ -3,7 +3,7 @@
 The deployment story the paper's overhead numbers enable: because the
 tomography collector is cheap enough to leave on permanently, a fielded
 mote can keep estimating its own branch probabilities, notice when they
-drift (:mod:`repro.obs.health`), re-run the placement optimizer on the
+drift (:mod:`repro.core.drift`), re-run the placement optimizer on the
 fresh estimate, hot-swap the new layout at an activation boundary — and
 roll the swap back if measured reality disagrees with the model that
 proposed it.  :class:`PGOController` is that loop; :class:`LayoutRegistry`

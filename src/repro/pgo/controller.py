@@ -2,7 +2,7 @@
 
 This module closes the loop the rest of the library leaves open: streaming
 estimation (:class:`~repro.core.online.OnlineEstimator`) watches a live
-mote's timing shards, drift detection (:mod:`repro.obs.health`) notices when
+mote's timing shards, drift detection (:mod:`repro.core.drift`) notices when
 the branch probabilities behind the current code placement have gone stale,
 and the placement optimizer (:mod:`repro.placement`) produces a fresh layout
 — which the controller hot-swaps into the running interpreter at a safe
@@ -16,9 +16,9 @@ unit at which sensors may change regime).  Per segment the controller:
 
 1. runs the activations on one persistent :class:`~repro.sim.Interpreter`
    (globals and RAM survive across segments and swaps);
-2. collects the segment's timing shard through the platform timer and feeds
-   it to the online estimator (whose health monitor sees the pre-refit
-   innovations);
+2. collects the segment's timing shard through the platform timer, feeds
+   its pre-refit innovations to the drift detectors, and absorbs it into
+   the online estimator;
 3. advances a small state machine::
 
        steady --drift alarm--> relearn --candidate differs--> trial
@@ -33,8 +33,8 @@ unit at which sensors may change regime).  Per segment the controller:
    measured mispredict rate and energy decide commit vs rollback.
 
 Everything is deterministic given the sensor streams and profiler seeds:
-the health monitor runs on an injected zero clock, EM uses no RNG, and
-segment metrics come from exact counter deltas — so controller runs are
+the drift detectors read no clock, EM uses no RNG, and segment metrics
+come from exact counter deltas — so controller runs are
 bit-reproducible and checkpoint/resume (:meth:`PGOController.checkpoint` /
 :meth:`PGOController.resume`) continues byte-identically.
 """
@@ -47,13 +47,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs
+from repro.core.drift import DriftDetectors, residual_signals
 from repro.core.online import OnlineCheckpoint, OnlineEstimator, OnlineOptions
 from repro.errors import PgoError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
 from repro.mote.radio import Packet
 from repro.mote.sensors import SensorSuite
-from repro.obs.health import AlertEvent, EstimatorHealthMonitor, HealthConfig
 from repro.pgo.registry import LayoutRegistry, SwapEvent
 from repro.placement.layout import ProgramLayout
 from repro.placement.refine import optimize_refined_program_layout
@@ -77,36 +77,27 @@ ACTIONS = ("hold", "alarm", "relearn", "swap", "commit", "rollback")
 #: State-machine phases.
 _STEADY, _RELEARN, _TRIAL = "steady", "relearn", "trial"
 
-
-def _zero_clock() -> float:
-    """Deterministic stand-in for the monitor's wall clock.
-
-    The controller never uses wall-age staleness checks, and a real clock
-    would leak nondeterminism into checkpoints.  Module-level so monitor
-    state stays picklable.
-    """
-    return 0.0
+#: Drift-detector warmup, in shards: shorter than the streaming default of
+#: 8 — a controller segment carries hundreds of samples, so the innovation
+#: baseline settles fast.
+_WARMUP_SHARDS = 4
 
 
 @dataclass(frozen=True)
 class PGOConfig:
     """Policy knobs for one closed-loop run.
 
-    ``health`` tunes the drift detectors (the default shortens warmup to 4
-    shards — a controller segment carries hundreds of samples, so the
-    innovation baseline settles fast).  ``relearn_shards`` is how many
-    post-alarm segments feed the fresh estimator before a candidate layout
-    is proposed.  The rollback gate fires when the trial segment's
-    mispredict rate exceeds the pre-swap reference by more than
-    ``rollback_z`` pooled standard errors, **or** its compute (CPU + ADC)
-    energy per activation exceeds the reference by more than
-    ``energy_rtol`` relatively.
+    ``relearn_shards`` is how many post-alarm segments feed the fresh
+    estimator before a candidate layout is proposed.  The rollback gate
+    fires when the trial segment's mispredict rate exceeds the pre-swap
+    reference by more than ``rollback_z`` pooled standard errors, **or**
+    its compute (CPU + ADC) energy per activation exceeds the reference by
+    more than ``energy_rtol`` relatively.
     ``cooldown_segments`` suppresses new drift alarms right after a
     rollback or an unchanged re-placement, so the loop cannot flap.
     """
 
     online: OnlineOptions = field(default_factory=lambda: OnlineOptions(epsilon=None))
-    health: HealthConfig = field(default_factory=lambda: HealthConfig(warmup_shards=4))
     relearn_shards: int = 3
     rollback_z: float = 1.96
     energy_rtol: float = 0.05
@@ -180,7 +171,7 @@ class PGOCheckpoint:
 
     Carries the registry contents (layouts + event log), the full
     interpreter RAM/counter state, the online estimator's checkpoint, and
-    the health monitor's detector state — everything
+    a copy of the drift detectors — everything
     :meth:`PGOController.resume` needs to continue bit-identically.
     """
 
@@ -197,9 +188,8 @@ class PGOCheckpoint:
     segment_index: int
     reference: Optional[SegmentMetrics]
     reports: tuple[SegmentReport, ...]
-    alarms: tuple[AlertEvent, ...]
     estimator: OnlineCheckpoint
-    monitor_state: dict
+    detectors: DriftDetectors
     # Interpreter RAM + bookkeeping (the mote's volatile state).
     globals_: dict[str, int]
     arrays: dict[str, list[int]]
@@ -209,32 +199,6 @@ class PGOCheckpoint:
     radio_packets: tuple[Packet, ...]
     radio_dropped: int
     radio_corrupted: int
-
-
-def _monitor_state(monitor: EstimatorHealthMonitor) -> dict:
-    """Extract the monitor's picklable detector/audit state (deep copies)."""
-    return {
-        "drift": copy.deepcopy(monitor._drift),
-        "alerts": tuple(monitor._alerts),
-        "shards": monitor._shards,
-        "samples": monitor._samples,
-        "shards_since_rebuild": monitor._shards_since_rebuild,
-        "coverage_breached": monitor._coverage_breached,
-        "audit_covered": dict(monitor.audit._covered),
-        "audit_total": dict(monitor.audit._total),
-    }
-
-
-def _restore_monitor(monitor: EstimatorHealthMonitor, state: dict) -> None:
-    """Transplant detector/audit state captured by :func:`_monitor_state`."""
-    monitor._drift = copy.deepcopy(state["drift"])
-    monitor._alerts = list(state["alerts"])
-    monitor._shards = state["shards"]
-    monitor._samples = state["samples"]
-    monitor._shards_since_rebuild = state["shards_since_rebuild"]
-    monitor._coverage_breached = state["coverage_breached"]
-    monitor.audit._covered = dict(state["audit_covered"])
-    monitor.audit._total = dict(state["audit_total"])
 
 
 class PGOController:
@@ -263,8 +227,6 @@ class PGOController:
         self.segment_index = 0
         self.reference: Optional[SegmentMetrics] = None
         self.reports: list[SegmentReport] = []
-        self.alarms: list[AlertEvent] = []
-        self._pending_alarms: list[AlertEvent] = []
         self._interp: Optional[Interpreter] = None
         self.estimator: OnlineEstimator = self._fresh_estimator()
 
@@ -273,13 +235,8 @@ class PGOController:
     def _current_layout(self) -> ProgramLayout:
         return self.registry.get(self.current_key)
 
-    def _on_alert(self, event: AlertEvent) -> None:
-        if event.kind == "drift":
-            self._pending_alarms.append(event)
-            self.alarms.append(event)
-
     def _fresh_estimator(self) -> OnlineEstimator:
-        """A new estimator + monitor bound to the *current* layout.
+        """A new estimator + drift detectors bound to the *current* layout.
 
         Reset points are alarms, swaps, and rollbacks: timing samples are
         drawn through the live layout's control-transfer costs, so samples
@@ -292,13 +249,7 @@ class PGOController:
             options=self.config.online,
             layout=self._current_layout(),
         )
-        monitor = EstimatorHealthMonitor(
-            self.config.health,
-            source="pgo",
-            clock=_zero_clock,
-            sink=self._on_alert,
-        )
-        estimator.attach_health(monitor)
+        self.detectors = DriftDetectors(warmup_shards=_WARMUP_SHARDS)
         self.shards_since_reset = 0
         obs.inc("pgo.estimator_resets")
         return estimator
@@ -352,10 +303,12 @@ class PGOController:
                 interp.records
             )
             interp.records.clear()
-            self._pending_alarms = []
+            # Innovations against the previous iterate, before the refit.
+            signals = residual_signals(self.estimator.predicted_moments, shard.samples)
             self.estimator.absorb(shard)
+            alarms = self.detectors.update(signals)
             self.shards_since_reset += 1
-            action, detail = self._decide(metrics)
+            action, detail = self._decide(metrics, alarms)
             span.set(action=action, mispredict_rate=round(metrics.mispredict_rate, 6))
         obs.inc("pgo.segments")
         report = SegmentReport(
@@ -415,7 +368,9 @@ class PGOController:
 
     # -- the state machine ----------------------------------------------------
 
-    def _decide(self, metrics: SegmentMetrics) -> tuple[str, str]:
+    def _decide(
+        self, metrics: SegmentMetrics, alarms: list[tuple[str, str]]
+    ) -> tuple[str, str]:
         if self.phase == _TRIAL:
             return self._judge_trial(metrics)
         if self.phase == _RELEARN:
@@ -428,11 +383,11 @@ class PGOController:
         # Steady state: watch for drift, honour the cooldown.
         if self.cooldown > 0:
             self.cooldown -= 1
-            if self._pending_alarms:
+            if alarms:
                 return "hold", "drift alarm suppressed during cooldown"
             return "hold", f"cooldown ({self.cooldown} left)"
-        if self._pending_alarms:
-            procs = sorted({a.procedure for a in self._pending_alarms if a.procedure})
+        if alarms:
+            procs = sorted({proc for proc, _ in alarms})
             self.estimator = self._fresh_estimator()
             self.phase = _RELEARN
             obs.inc("pgo.drift_alarms")
@@ -583,8 +538,6 @@ class PGOController:
         if self._interp is None:
             raise PgoError("cannot checkpoint before the first segment has run")
         interp = self._interp
-        monitor = self.estimator.health
-        assert monitor is not None  # _fresh_estimator always attaches one
         return PGOCheckpoint(
             program_name=self.program.name,
             config=self.config,
@@ -599,9 +552,8 @@ class PGOController:
             segment_index=self.segment_index,
             reference=self.reference,
             reports=tuple(self.reports),
-            alarms=tuple(self.alarms),
             estimator=self.estimator.checkpoint(),
-            monitor_state=_monitor_state(monitor),
+            detectors=copy.deepcopy(self.detectors),
             globals_=dict(interp.globals),
             arrays={name: list(xs) for name, xs in interp.arrays.items()},
             leds=interp.leds,
@@ -651,8 +603,6 @@ class PGOController:
         self.segment_index = checkpoint.segment_index
         self.reference = checkpoint.reference
         self.reports = list(checkpoint.reports)
-        self.alarms = list(checkpoint.alarms)
-        self._pending_alarms = []
         self._interp = None
         self.estimator = OnlineEstimator.resume(
             program,
@@ -661,14 +611,7 @@ class PGOController:
             options=self.config.online,
             layout=self.registry.get(self.current_key),
         )
-        monitor = EstimatorHealthMonitor(
-            self.config.health,
-            source="pgo",
-            clock=_zero_clock,
-            sink=self._on_alert,
-        )
-        _restore_monitor(monitor, checkpoint.monitor_state)
-        self.estimator.attach_health(monitor)
+        self.detectors = copy.deepcopy(checkpoint.detectors)
         self.shards_since_reset = checkpoint.shards_since_reset
         self._restore_ram = checkpoint  # applied when the interpreter exists
         obs.inc("pgo.resumes")

@@ -112,6 +112,16 @@ class TestRecordsAndFiles:
         with pytest.raises(ArtifactError, match="non-negative"):
             validate_bench_file(path)
 
+    def test_validate_flags_nan_bench_stat(self, tmp_path):
+        path = bench_path(tmp_path, "2026-08-06")
+        append_record(path, record())
+        payload = json.loads(path.read_text())
+        (stats,) = payload["records"][0]["benchmarks"].values()
+        stats["median"] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError, match="stat 'median' must be a non-negative"):
+            validate_bench_file(path)
+
 
 class TestRegressionGate:
     def test_clean_history_passes(self):

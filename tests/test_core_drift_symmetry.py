@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import detect_drift, estimate_epochs, exchangeable_pairs
+from repro.core.drift import Cusum, DriftDetectors, PageHinkley, residual_signals
 from repro.errors import EstimationError
 from repro.ir import CFGBuilder, const, nop
 from repro.markov.sampling import sample_rewards
@@ -120,3 +124,122 @@ class TestEstimateEpochs:
             detect_drift(track, threshold=0.0)
         with pytest.raises(EstimationError):
             track.parameter_series(5)
+
+
+class TestDetectors:
+    def test_page_hinkley_quiet_on_stationary_noise(self):
+        rng = np.random.default_rng(0)
+        ph = PageHinkley()
+        assert not any(ph.update(x) for x in rng.normal(0.0, 1.0, 500))
+        assert ph.score < 1.0
+
+    def test_cusum_quiet_on_stationary_noise(self):
+        rng = np.random.default_rng(1)
+        cusum = Cusum()
+        assert not any(cusum.update(x) for x in rng.normal(0.0, 1.0, 500))
+        assert cusum.score < 1.0
+
+    @pytest.mark.parametrize("detector_cls", [PageHinkley, Cusum])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_level_shift_alarms_in_either_direction(self, detector_cls, direction):
+        rng = np.random.default_rng(2)
+        detector = detector_cls()
+        stream = np.concatenate(
+            [rng.normal(0.0, 1.0, 50), rng.normal(direction * 3.0, 1.0, 50)]
+        )
+        fired_at = None
+        for i, x in enumerate(stream):
+            if detector.update(x):
+                fired_at = i
+                break
+        assert fired_at is not None, "a 3-sigma level shift must alarm"
+        assert fired_at >= 50, "no alarm before the shift"
+        # The alarming update reset the statistic; the detector is re-armed.
+        assert detector.statistic == 0.0
+
+    @pytest.mark.parametrize("detector_cls", [PageHinkley, Cusum])
+    def test_alarm_resets_for_the_next_episode(self, detector_cls):
+        detector = detector_cls()
+        episodes = 0
+        # Two separated bursts of a strong shift, quiet in between.
+        for x in [0.0] * 20 + [5.0] * 20 + [0.0] * 40 + [5.0] * 20:
+            if detector.update(x):
+                episodes += 1
+        assert episodes >= 2
+
+    def test_constructor_validation(self):
+        with pytest.raises(EstimationError, match="positive"):
+            PageHinkley(threshold=0.0)
+        with pytest.raises(EstimationError, match=">= 0"):
+            PageHinkley(delta=-0.1)
+        with pytest.raises(EstimationError, match="positive"):
+            Cusum(h=-1.0)
+        with pytest.raises(EstimationError, match=">= 0"):
+            Cusum(k=-0.5)
+
+
+class TestResidualSignals:
+    class _Moments:
+        def __init__(self, mean, variance):
+            self.mean = mean
+            self.variance = variance
+
+    def test_z_score_of_the_shard_mean(self):
+        moments = {"p": self._Moments(10.0, 4.0)}
+        signals = residual_signals(moments, {"p": [11.0, 13.0, 12.0, 12.0]})
+        # mean 12, mu 10, sigma 2, n 4 -> z = 2 / (2/2) = 2.
+        assert signals == {"p": pytest.approx(2.0)}
+
+    def test_skips_unpredicted_and_underpopulated_procedures(self):
+        moments = {"p": self._Moments(10.0, 4.0)}
+        signals = residual_signals(
+            moments, {"p": [10.0], "ghost": [1.0, 2.0]}, min_samples=2
+        )
+        assert signals == {}  # "p" too small, "ghost" has no prediction
+
+    def test_zero_variance_prediction_does_not_divide_by_zero(self):
+        moments = {"p": self._Moments(10.0, 0.0)}
+        signals = residual_signals(moments, {"p": [10.0, 10.0]})
+        assert math.isfinite(signals["p"])
+
+
+class TestDriftDetectors:
+    def test_alarms_name_the_procedure_and_the_detector(self):
+        detectors = DriftDetectors(warmup_shards=2)
+        alarms = []
+        for i in range(40):
+            shifted = 0.0 if i < 4 else 6.0
+            alarms += detectors.update({"quiet": 0.0, "shifted": shifted})
+        assert alarms and {proc for proc, _ in alarms} == {"shifted"}
+        names = {"page-hinkley", "cusum", "page-hinkley+cusum"}
+        assert all(name in names for _, name in alarms)
+        assert detectors.alarms == len(alarms)
+        assert detectors.alarmed_procedures == ("shifted",)
+
+    def test_a_copy_is_a_value(self):
+        detectors = DriftDetectors(warmup_shards=2)
+        for x in (0.1, -0.2, 0.4):
+            detectors.update({"p": x})
+        snapshot = copy.deepcopy(detectors)
+        assert snapshot == detectors
+        detectors.update({"p": 0.3})
+        assert snapshot != detectors
+        snapshot.update({"p": 0.3})
+        assert snapshot == detectors
+        assert snapshot.score == detectors.score
+
+    def test_empty_set_scores_zero(self):
+        assert DriftDetectors().score == 0.0
+        assert DriftDetectors().alarmed_procedures == ()
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"warmup_shards": 0}, "warmup_shards"),
+            ({"ph_threshold": 0.0}, "positive"),
+            ({"cusum_k": -1.0}, ">= 0"),
+        ],
+    )
+    def test_bad_parameters_rejected_before_any_signal(self, kwargs, match):
+        with pytest.raises(EstimationError, match=match):
+            DriftDetectors(**kwargs)

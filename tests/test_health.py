@@ -2,8 +2,8 @@
 
 Four layers of coverage:
 
-* detector unit tests — Page–Hinkley / CUSUM alarm-and-reset mechanics,
-  config validation, innovation-signal math;
+* config validation (the detectors themselves are tested with
+  :mod:`repro.core.drift`, in ``test_core_drift_symmetry.py``);
 * a synthetic binomial calibration check — the coverage audit, fed honest
   Wald intervals over draws with a *known* generating probability, must
   read back ~nominal coverage;
@@ -40,19 +40,17 @@ from repro.obs import (
     tracing,
     validate_alert_log,
     validate_health_report,
+    validate_health_summary,
     validate_serve_stats,
 )
 from repro.obs.health import (
     ALERT_KINDS,
     AlertEvent,
     CoverageAudit,
-    Cusum,
     EstimatorHealthMonitor,
     HealthConfig,
-    PageHinkley,
     build_health_report,
     read_alert_log,
-    residual_signals,
     write_alert_log,
 )
 from repro.obs.health_cli import main as health_cli
@@ -123,60 +121,12 @@ def run(coro):
 
 
 # ---------------------------------------------------------------------------
-# Detector units
+# Detector config
 # ---------------------------------------------------------------------------
 
 
 class TestDetectors:
-    def test_page_hinkley_quiet_on_stationary_noise(self):
-        rng = np.random.default_rng(0)
-        ph = PageHinkley()
-        assert not any(ph.update(x) for x in rng.normal(0.0, 1.0, 500))
-        assert ph.score < 1.0
-
-    def test_cusum_quiet_on_stationary_noise(self):
-        rng = np.random.default_rng(1)
-        cusum = Cusum()
-        assert not any(cusum.update(x) for x in rng.normal(0.0, 1.0, 500))
-        assert cusum.score < 1.0
-
-    @pytest.mark.parametrize("detector_cls", [PageHinkley, Cusum])
-    @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_level_shift_alarms_in_either_direction(self, detector_cls, direction):
-        rng = np.random.default_rng(2)
-        detector = detector_cls()
-        stream = np.concatenate(
-            [rng.normal(0.0, 1.0, 50), rng.normal(direction * 3.0, 1.0, 50)]
-        )
-        fired_at = None
-        for i, x in enumerate(stream):
-            if detector.update(x):
-                fired_at = i
-                break
-        assert fired_at is not None, "a 3-sigma level shift must alarm"
-        assert fired_at >= 50, "no alarm before the shift"
-        # The alarming update reset the statistic; the detector is re-armed.
-        assert detector.statistic == 0.0
-
-    @pytest.mark.parametrize("detector_cls", [PageHinkley, Cusum])
-    def test_alarm_resets_for_the_next_episode(self, detector_cls):
-        detector = detector_cls()
-        episodes = 0
-        # Two separated bursts of a strong shift, quiet in between.
-        for x in [0.0] * 20 + [5.0] * 20 + [0.0] * 40 + [5.0] * 20:
-            if detector.update(x):
-                episodes += 1
-        assert episodes >= 2
-
-    def test_constructor_validation(self):
-        with pytest.raises(ObsError, match="positive"):
-            PageHinkley(threshold=0.0)
-        with pytest.raises(ObsError, match=">= 0"):
-            PageHinkley(delta=-0.1)
-        with pytest.raises(ObsError, match="positive"):
-            Cusum(h=-1.0)
-        with pytest.raises(ObsError, match=">= 0"):
-            Cusum(k=-0.5)
+    """HealthConfig: the knobs the monitor builds its core drift detectors from."""
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -197,31 +147,6 @@ class TestDetectors:
     def test_config_validation(self, kwargs, match):
         with pytest.raises(ObsError, match=match):
             HealthConfig(**kwargs)
-
-
-class TestResidualSignals:
-    class _Moments:
-        def __init__(self, mean, variance):
-            self.mean = mean
-            self.variance = variance
-
-    def test_z_score_of_the_shard_mean(self):
-        moments = {"p": self._Moments(10.0, 4.0)}
-        signals = residual_signals(moments, {"p": [11.0, 13.0, 12.0, 12.0]})
-        # mean 12, mu 10, sigma 2, n 4 -> z = 2 / (2/2) = 2.
-        assert signals == {"p": pytest.approx(2.0)}
-
-    def test_skips_unpredicted_and_underpopulated_procedures(self):
-        moments = {"p": self._Moments(10.0, 4.0)}
-        signals = residual_signals(
-            moments, {"p": [10.0], "ghost": [1.0, 2.0]}, min_samples=2
-        )
-        assert signals == {}  # "p" too small, "ghost" has no prediction
-
-    def test_zero_variance_prediction_does_not_divide_by_zero(self):
-        moments = {"p": self._Moments(10.0, 0.0)}
-        signals = residual_signals(moments, {"p": [10.0, 10.0]})
-        assert math.isfinite(signals["p"])
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +352,12 @@ class TestMonitor:
         from repro.obs.validate import _check_health_report
 
         assert _check_health_report(report, "test") == {"tenants": 1, "alerts": 0}
+
+    def test_summary_validator_rejects_nan_gauges(self):
+        summary = EstimatorHealthMonitor().summary()
+        validate_health_summary(summary, "summary")
+        with pytest.raises(ArtifactError, match="drift_score"):
+            validate_health_summary(dict(summary, drift_score=float("nan")), "summary")
 
 
 # ---------------------------------------------------------------------------

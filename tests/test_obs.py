@@ -35,6 +35,7 @@ from repro.obs import (
     tracing,
     validate_chrome_trace,
     validate_metrics_file,
+    validate_serve_stats,
     validate_trace_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -498,6 +499,34 @@ class TestValidators:
         path.write_text(json.dumps({**payload, "serve": bad}))
         with pytest.raises(ArtifactError, match="non-negative"):
             validate_metrics_file(path)
+
+    @pytest.mark.parametrize("value", [True, float("nan")])
+    def test_metrics_validator_rejects_bool_and_nan_counters(self, tmp_path, value):
+        path = tmp_path / "metrics.json"
+        metrics = {"counters": {"c": value}, "gauges": {}, "histograms": {}}
+        path.write_text(json.dumps({"metrics": metrics}))  # NaN is written as NaN
+        with pytest.raises(ArtifactError, match="counter 'c' must be a non-negative"):
+            validate_metrics_file(path)
+
+    @pytest.mark.parametrize(
+        "patch,match",
+        [
+            ({"uptime_s": float("nan")}, "uptime_s"),
+            ({"latency": {"p50_ms": 1.0, "p99_ms": float("nan")}}, "p99_ms"),
+        ],
+    )
+    def test_serve_validator_rejects_nan(self, patch, match):
+        serve = {
+            "schema": "repro.serve/1",
+            "workers": 1,
+            "uptime_s": 0.2,
+            "totals": {"accepted": 3, "deferred": 0, "rejected": 0},
+            "tenants": {},
+            "latency": {"p50_ms": 1.0, "p99_ms": 2.0},
+        }
+        validate_serve_stats(serve, "serve")
+        with pytest.raises(ArtifactError, match=match):
+            validate_serve_stats({**serve, **patch}, "serve")
 
     def test_write_metrics_serve_embed_round_trip(self, tmp_path):
         registry = MetricsRegistry()

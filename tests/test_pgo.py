@@ -190,9 +190,10 @@ class TestControllerStateMachine:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("cut", [5, 11, 13])
+    @pytest.mark.parametrize("cut", [2, 5, 10, 11, 13])
     def test_resume_is_byte_identical_across_transitions(self, probe, cut):
-        """Cutting before the alarm (5), mid-relearn (11), or right at the
+        """Cutting inside the detector warmup (2), before the alarm (5), on
+        the segment that alarms (10), mid-relearn (11), or right at the
         swap (13) must not change a byte of the remaining run."""
         initial = optimize_refined_program_layout(
             probe, {"main": [0.889, 0.115, 0.001]}, MICAZ_LIKE
@@ -221,6 +222,7 @@ class TestCheckpointResume:
         assert resumed.phase == straight.phase
         assert resumed.cooldown == straight.cooldown
         assert resumed.shards_since_reset == straight.shards_since_reset
+        assert resumed.detectors == straight.detectors
 
     def test_resume_restores_interpreter_ram_exactly(self, probe):
         ctl = PGOController(probe, MICAZ_LIKE)
